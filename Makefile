@@ -12,11 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/rule/ ./internal/txn/ ./internal/lock/ \
-		./internal/storage/ ./internal/wal/ ./internal/event/ \
-		./internal/cep/ ./internal/object/ ./internal/core/ \
-		./internal/server/ ./internal/failpoint/ ./internal/repl/ \
-		./internal/plan/
+	$(GO) test -race -short ./internal/...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 0.5s .

@@ -3,8 +3,8 @@
 // signal advances the aggregate template `count(PriceDrop where
 // ticker=$t) >= K within 1m` of each defined rule, so per-signal cost
 // scales with rule fan-out while the live NFA-instance population
-// scales with the ticker count. The cells feed the BENCH_6.json
-// baseline alongside C16's.
+// scales with the ticker count. The cells feed the BENCH_10.json
+// baseline alongside C16's (make bench-baseline).
 package main
 
 import (

@@ -463,11 +463,15 @@ func (m *Manager) Delete(tx *txn.Txn, oid datum.OID) error {
 // shard mutex. Writers are still correct without the lock because a
 // transaction that intends to write takes its exclusive lock first,
 // and the previous writer's commit published before releasing it.
+// The returned attribute map is the caller's own copy: the store
+// shares its immutable records with every reader, and this is where
+// a record leaves for application code.
 func (m *Manager) Get(tx *txn.Txn, oid datum.OID) (storage.Record, error) {
 	rec, ok := m.store.Get(tx.ID(), oid)
 	if !ok {
 		return storage.Record{}, fmt.Errorf("%w: %v", ErrNoSuchObject, oid)
 	}
+	rec.Attrs = datum.CloneMap(rec.Attrs)
 	return rec, nil
 }
 
@@ -478,7 +482,8 @@ func (m *Manager) Get(tx *txn.Txn, oid datum.OID) (storage.Record, error) {
 // it is safe to base an update on. Read-modify-write flows that use
 // plain Get instead race: two transactions can both read the same
 // version before either locks, and the second write clobbers the
-// first (a lost update).
+// first (a lost update). Like Get, it returns a private copy of the
+// attribute map.
 func (m *Manager) GetForUpdate(tx *txn.Txn, oid datum.OID) (storage.Record, error) {
 	if err := tx.Lock(objItem(oid), lock.Exclusive); err != nil {
 		return storage.Record{}, err
@@ -487,6 +492,7 @@ func (m *Manager) GetForUpdate(tx *txn.Txn, oid datum.OID) (storage.Record, erro
 	if !ok {
 		return storage.Record{}, fmt.Errorf("%w: %v", ErrNoSuchObject, oid)
 	}
+	rec.Attrs = datum.CloneMap(rec.Attrs)
 	return rec, nil
 }
 

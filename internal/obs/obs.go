@@ -76,7 +76,8 @@ const (
 	// HWALGroup.
 	HVersionChain
 	// HSnapshotRead: one snapshot class scan (pin through last record
-	// resolved), the lock-free MVCC read path.
+	// resolved), the lock-free MVCC read path. Scans stream, so the
+	// caller's per-record callback is inside the span.
 	HSnapshotRead
 	// HReplBatch: redo-payload bytes shipped in one replication batch
 	// frame. A count histogram like HWALGroup.

@@ -21,13 +21,23 @@ import (
 	"repro/internal/query"
 )
 
+// diffEngine opens an engine with the store's immutability audit
+// armed: at cleanup, after the test's committers and queries are done,
+// every committed version must still hold exactly what was installed —
+// plan execution reads the stored attribute maps without copying them.
 func diffEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	e, err := core.Open(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
+	verify := e.Objects.Store().AuditImmutable()
+	t.Cleanup(func() {
+		if err := verify(); err != nil {
+			t.Error(err)
+		}
+		e.Close()
+	})
 	tx := e.Begin()
 	for _, c := range []object.Class{
 		{Name: "Stock", Attrs: []object.AttrDef{

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 
 	"repro/internal/datum"
@@ -26,6 +28,42 @@ type cand struct {
 
 // tuple is one join-output row: a binding per syntactic FROM slot.
 type tuple []cand
+
+// compareTuples orders tuples slot-wise by OID — the oracle's
+// emission order (see the package comment).
+func compareTuples(a, b tuple) int {
+	for i := range a {
+		if c := cmp.Compare(a[i].oid, b[i].oid); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// tupleSlab carves tuples out of shared backing arrays instead of
+// allocating each one. Arrays start small and double up to
+// maxSlabTuples, so a condition query producing a handful of rows
+// allocates little while a 100k-row scan allocates a few hundred
+// times. A stage's tuples all live until the next stage (or emit) has
+// consumed them, so sharing an array keeps nothing alive for longer.
+type tupleSlab struct {
+	width int
+	n     int // tuples in the current array
+	buf   []cand
+}
+
+const maxSlabTuples = 256
+
+// next returns a zeroed tuple of the slab's width.
+func (a *tupleSlab) next() tuple {
+	if len(a.buf) < a.width {
+		a.n = min(max(2*a.n, 4), maxSlabTuples)
+		a.buf = make([]cand, a.width*a.n)
+	}
+	t := tuple(a.buf[:a.width:a.width])
+	a.buf = a.buf[a.width:]
+	return t
+}
 
 // rowSource is the volcano iterator contract. Invariant: after Next
 // returns a tuple, the env holds exactly that tuple's bindings (each
@@ -196,8 +234,8 @@ func (sc *stepCands) Close(x *execCtx) {
 
 // baseIter adapts the first step to a rowSource.
 type baseIter struct {
-	sc    stepCands
-	width int
+	sc   stepCands
+	slab tupleSlab
 }
 
 func (b *baseIter) Open(x *execCtx) error { return b.sc.Open(x) }
@@ -207,7 +245,7 @@ func (b *baseIter) Next(x *execCtx) (tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	t := make(tuple, b.width)
+	t := b.slab.next()
 	t[b.sc.s.slot] = c
 	return t, true, nil
 }
@@ -222,6 +260,7 @@ func (b *baseIter) Close(x *execCtx) { b.sc.Close(x) }
 type joinIter struct {
 	outer     rowSource
 	sc        stepCands
+	slab      tupleSlab
 	cur       tuple
 	haveOuter bool
 }
@@ -249,7 +288,7 @@ func (j *joinIter) Next(x *execCtx) (tuple, bool, error) {
 			return nil, false, err
 		}
 		if ok {
-			out := make(tuple, len(j.cur))
+			out := j.slab.next()
 			copy(out, j.cur)
 			out[j.sc.s.slot] = c
 			return out, true, nil
@@ -281,11 +320,24 @@ func (e *emitOnce) Close(*execCtx) {}
 
 // Execute runs the plan against r with the given event arguments and
 // returns a result identical to query.Eval's. Plans with parallel
-// steps run the staged fan-out pipeline (parallel.go); the canonical
-// sort below makes both production orders emit identically.
+// steps run the staged fan-out pipeline (parallel.go); canonicalJoin
+// makes both production orders emit identically.
 func (p *Plan) Execute(r query.Reader, args map[string]datum.Value) (*query.Result, error) {
 	x := &execCtx{r: r, env: query.NewEnv(r, args), args: args}
+	tuples, err := p.canonicalJoin(x)
+	if err != nil {
+		return nil, err
+	}
+	return p.emit(x, tuples)
+}
 
+// canonicalJoin materializes the join output in the oracle's emission
+// order (see the package comment). Tuples are unique by OID vector, so
+// an unstable sort restores that order exactly. Most plans produce it
+// already — every extent scan, merged shard scan, index probe and
+// order-keeping join stage yields OIDs ascending — so one linear check
+// usually replaces the sort.
+func (p *Plan) canonicalJoin(x *execCtx) ([]tuple, error) {
 	var tuples []tuple
 	var err error
 	if p.maxPar() > 1 {
@@ -296,19 +348,10 @@ func (p *Plan) Execute(r query.Reader, args map[string]datum.Value) (*query.Resu
 	if err != nil {
 		return nil, err
 	}
-	// Restore the oracle's emission order with the canonical sort
-	// (see the package comment).
-	sort.SliceStable(tuples, func(a, b int) bool {
-		ta, tb := tuples[a], tuples[b]
-		for i := range ta {
-			if ta[i].oid != tb[i].oid {
-				return ta[i].oid < tb[i].oid
-			}
-		}
-		return false
-	})
-
-	return p.emit(x, tuples)
+	if !slices.IsSortedFunc(tuples, compareTuples) {
+		slices.SortFunc(tuples, compareTuples)
+	}
+	return tuples, nil
 }
 
 // joinSerial materializes the join output through the volcano tree.
@@ -317,9 +360,10 @@ func (p *Plan) joinSerial(x *execCtx) ([]tuple, error) {
 	if len(p.steps) == 0 {
 		root = &emitOnce{}
 	} else {
-		root = &baseIter{sc: stepCands{s: p.steps[0]}, width: len(p.vars)}
+		slab := tupleSlab{width: len(p.vars)}
+		root = &baseIter{sc: stepCands{s: p.steps[0]}, slab: slab}
 		for _, s := range p.steps[1:] {
-			root = &joinIter{outer: root, sc: stepCands{s: s}}
+			root = &joinIter{outer: root, sc: stepCands{s: s}, slab: slab}
 		}
 	}
 	if err := root.Open(x); err != nil {

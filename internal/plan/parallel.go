@@ -6,25 +6,30 @@ package plan
 // next, fanning work out over goroutines where the step allows it.
 //
 //	shard 0 ──scan+filter──┐
-//	shard 1 ──scan+filter──┤  bounded      ┌──────────┐
-//	   ...                 ├─ channel  ──▶ │ gather / │ ─▶ canonical ─▶ emit
-//	shard N ──scan+filter──┘  exchange     │  merge   │     OID sort
-//	                                       └──────────┘
+//	shard 1 ──scan+filter──┤  k-way merge     probe stages,      canonical
+//	   ...                 ├─ by OID     ──▶  chunk-ordered  ──▶ order    ──▶ emit
+//	shard N ──scan+filter──┘                  output             check
 //
 // Correctness rides entirely on three facts (see the package
-// comment): tuple production order is free because the canonical
-// slot-wise OID sort restores the oracle's emission order; access
-// paths never decide membership, so residual re-filtering in any
-// worker is exactly the oracle's check; and every worker of a base
-// scan or hash build reads at ONE pinned snapshot LSN, so the union
-// of the shard scans equals one serial scan of the same snapshot.
-// Aggregation stays bit-identical through query.MergeAggState: exact
-// partial merges (count, min/max, integer sums) run chunk-parallel,
-// order-sensitive ones (float sums, avg) fall back to one serial
-// re-accumulation over the already-sorted tuples.
+// comment): tuple production order is free because canonicalJoin
+// restores the oracle's emission order; access paths never decide
+// membership, so residual re-filtering in any worker is exactly the
+// oracle's check; and every worker of a base scan or hash build reads
+// at ONE pinned snapshot LSN, so the union of the shard scans equals
+// one serial scan of the same snapshot. Order is kept wherever it is
+// free, so the final sort is usually skipped: every shard scan is
+// OID-ordered and the base stage merges the shard runs rather than
+// concatenating them, and a probe stage writes each claimed chunk of
+// outer tuples to that chunk's own output slot, so it emits in outer
+// order. Aggregation stays bit-identical through
+// query.MergeAggState: exact partial merges (count, min/max, integer
+// sums) run chunk-parallel, order-sensitive ones (float sums, avg)
+// fall back to one serial re-accumulation over the canonically
+// ordered tuples.
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,62 +150,13 @@ func (p *Plan) observeGather(workers int, g *gather) {
 	p.obs.Observe(obs.HPlanGatherWait, skew)
 }
 
-// --- bounded-channel exchange ---
-
-// parallelBatch is the tuple batch size shipped per exchange send.
-const parallelBatch = 128
-
-// exchange is the bounded channel between stage workers and the
-// gather loop. The first error cancels everything: fail closes done,
-// workers abort their scans on the next stopped() poll, blocked
-// senders fall out of send, and the gather loop keeps draining until
-// the closer goroutine (wg.Wait → close(ch)) ends the range — so no
-// worker can leak blocked on a full channel.
-type exchange struct {
-	ch   chan []tuple
-	done chan struct{}
-	once sync.Once
-	err  error
-}
-
-func newExchange(workers int) *exchange {
-	return &exchange{ch: make(chan []tuple, 2*workers), done: make(chan struct{})}
-}
-
-func (ex *exchange) fail(err error) {
-	ex.once.Do(func() {
-		ex.err = err
-		close(ex.done)
-	})
-}
-
-func (ex *exchange) stopped() bool {
-	select {
-	case <-ex.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// send ships one batch, abandoning it when the exchange is cancelled.
-func (ex *exchange) send(batch []tuple) bool {
-	if len(batch) == 0 {
-		return !ex.stopped()
-	}
-	select {
-	case ex.ch <- batch:
-		return true
-	case <-ex.done:
-		return false
-	}
-}
-
-// runStage drives one fan-out: workers produce batches into the
-// exchange, the calling goroutine gathers. worker must poll
-// ex.stopped() and return promptly once cancelled.
-func (p *Plan) runStage(workers int, worker func(w int, ex *exchange) error) ([]tuple, error) {
-	ex := newExchange(workers)
+// fanOut runs work on workers goroutines and returns once every one
+// has exited. The first error raises stop, which workers poll between
+// rows so the rest wind down promptly; fanOut returns the error of the
+// lowest-numbered failing worker.
+func (p *Plan) fanOut(workers int, work func(w int, stop *atomic.Bool) error) error {
+	var stop atomic.Bool
+	errs := make([]error, workers)
 	g := &gather{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -208,30 +164,26 @@ func (p *Plan) runStage(workers int, worker func(w int, ex *exchange) error) ([]
 		go func(w int) {
 			defer wg.Done()
 			defer g.done()
-			if err := worker(w, ex); err != nil {
-				ex.fail(err)
+			if err := work(w, &stop); err != nil {
+				errs[w] = err
+				stop.Store(true)
 			}
 		}(w)
 	}
-	go func() {
-		wg.Wait()
-		close(ex.ch)
-	}()
-	var out []tuple
-	for batch := range ex.ch {
-		out = append(out, batch...)
-	}
+	wg.Wait()
 	p.observeGather(workers, g)
-	if ex.err != nil {
-		return nil, ex.err
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // --- staged pipeline ---
 
-// joinParallel produces the (unsorted) join output of a plan with at
-// least one parallel step, stage by stage.
+// joinParallel produces the join output of a plan with at least one
+// parallel step, stage by stage (canonicalJoin checks its order).
 func (p *Plan) joinParallel(x *execCtx) ([]tuple, error) {
 	width := len(p.vars)
 	s0 := p.steps[0]
@@ -270,26 +222,23 @@ func (p *Plan) joinParallel(x *execCtx) ([]tuple, error) {
 
 // parallelBase fans the first step's extent scan out one worker per
 // committed-tier shard slice, all pinned at one snapshot LSN. Each
-// worker applies the step's residuals with its own env and ships
-// surviving tuples through the exchange.
+// worker applies the step's residuals with its own env and keeps each
+// shard's survivors as a separate OID-ordered run; one k-way merge of
+// the runs then yields the base in OID order.
 func (p *Plan) parallelBase(x *execCtx, s *step, ss ShardScanner, width int) ([]tuple, error) {
 	lsn, release := ss.PinShards()
 	defer release()
 	nsh := ss.ShardCount()
-	workers := s.par
-	if workers > nsh {
-		workers = nsh
-	}
-	return p.runStage(workers, func(w int, ex *exchange) error {
+	workers := min(s.par, nsh)
+	runs := make([][]tuple, nsh)
+	err := p.fanOut(workers, func(w int, stop *atomic.Bool) error {
 		env := query.NewEnv(x.r, x.args)
-		batch := make([]tuple, 0, parallelBatch)
-		for si := w; si < nsh; si += workers {
-			if ex.stopped() {
-				return nil
-			}
+		slab := tupleSlab{width: width}
+		for si := w; si < nsh && !stop.Load(); si += workers {
+			var run []tuple
 			var evalErr error
 			err := ss.ScanClassShard(si, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
-				if ex.stopped() {
+				if stop.Load() {
 					return false
 				}
 				env.Bind(s.from.Var, oid, attrs)
@@ -303,15 +252,9 @@ func (p *Plan) parallelBase(x *execCtx, s *step, ss ShardScanner, width int) ([]
 						return true
 					}
 				}
-				t := make(tuple, width)
+				t := slab.next()
 				t[s.slot] = cand{oid: oid, attrs: attrs}
-				batch = append(batch, t)
-				if len(batch) == parallelBatch {
-					if !ex.send(batch) {
-						return false
-					}
-					batch = make([]tuple, 0, parallelBatch)
-				}
+				run = append(run, t)
 				return true
 			})
 			if err == nil {
@@ -320,10 +263,23 @@ func (p *Plan) parallelBase(x *execCtx, s *step, ss ShardScanner, width int) ([]
 			if err != nil {
 				return err
 			}
+			runs[si] = run
 		}
-		ex.send(batch)
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, run := range runs {
+		n += len(run)
+	}
+	out := make([]tuple, 0, n)
+	datum.MergeByOID(runs, func(t tuple) datum.OID { return t[s.slot].oid }, func(t tuple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out, nil
 }
 
 // serialBase materializes the first step's output on the calling
@@ -334,6 +290,7 @@ func (p *Plan) serialBase(x *execCtx, s *step, width int) ([]tuple, error) {
 		return nil, err
 	}
 	defer sc.Close(x)
+	slab := tupleSlab{width: width}
 	var out []tuple
 	for {
 		c, ok, err := sc.Next(x)
@@ -343,7 +300,7 @@ func (p *Plan) serialBase(x *execCtx, s *step, width int) ([]tuple, error) {
 		if !ok {
 			return out, nil
 		}
-		t := make(tuple, width)
+		t := slab.next()
 		t[s.slot] = c
 		out = append(out, t)
 	}
@@ -365,7 +322,9 @@ const joinChunk = 64
 // first — shard-parallel and partitioned when the reader allows —
 // then shared immutably by every prober; index and extent inners
 // re-open per outer row inside each worker, exactly like the serial
-// nested loop.
+// nested loop. Workers claim chunks of outer tuples and write each
+// chunk's matches to that chunk's slot, so the concatenated output
+// keeps the outer order, as the serial loop does.
 func (p *Plan) parallelJoin(x *execCtx, s *step, placed []*step, outer []tuple) ([]tuple, error) {
 	var table *hashTable
 	if s.access == accessHash {
@@ -373,33 +332,22 @@ func (p *Plan) parallelJoin(x *execCtx, s *step, placed []*step, outer []tuple) 
 		if table, err = p.buildHash(x, s); err != nil {
 			return nil, err
 		}
-		if len(outer) == 0 {
-			return nil, nil
-		}
 	}
-	workers := s.par
-	if max := (len(outer) + joinChunk - 1) / joinChunk; workers > max {
-		workers = max
-	}
+	nchunks := (len(outer) + joinChunk - 1) / joinChunk
+	chunks := make([][]tuple, nchunks)
 	var next atomic.Int64
-	return p.runStage(workers, func(w int, ex *exchange) error {
+	err := p.fanOut(min(s.par, nchunks), func(w int, stop *atomic.Bool) error {
 		env := query.NewEnv(x.r, x.args)
 		wx := &execCtx{r: x.r, env: env, args: x.args}
 		sc := &stepCands{s: s, table: table, built: table != nil}
-		batch := make([]tuple, 0, parallelBatch)
-		for {
-			if ex.stopped() {
+		slab := tupleSlab{width: len(p.vars)}
+		for !stop.Load() {
+			ci := int(next.Add(1) - 1)
+			if ci >= nchunks {
 				return nil
 			}
-			lo := int(next.Add(1)-1) * joinChunk
-			if lo >= len(outer) {
-				break
-			}
-			hi := lo + joinChunk
-			if hi > len(outer) {
-				hi = len(outer)
-			}
-			for _, t := range outer[lo:hi] {
+			var out []tuple
+			for _, t := range outer[ci*joinChunk : min((ci+1)*joinChunk, len(outer))] {
 				bindPrefix(env, placed, t)
 				if err := sc.Open(wx); err != nil {
 					return err
@@ -412,22 +360,20 @@ func (p *Plan) parallelJoin(x *execCtx, s *step, placed []*step, outer []tuple) 
 					if !ok {
 						break
 					}
-					nt := make(tuple, len(t))
+					nt := slab.next()
 					copy(nt, t)
 					nt[s.slot] = c
-					batch = append(batch, nt)
-					if len(batch) >= parallelBatch {
-						if !ex.send(batch) {
-							return nil
-						}
-						batch = make([]tuple, 0, parallelBatch)
-					}
+					out = append(out, nt)
 				}
 			}
+			chunks[ci] = out
 		}
-		ex.send(batch)
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return slices.Concat(chunks...), nil
 }
 
 // serialJoin runs one join step on the calling goroutine (the staged
@@ -435,6 +381,7 @@ func (p *Plan) parallelJoin(x *execCtx, s *step, placed []*step, outer []tuple) 
 // inside sc).
 func (p *Plan) serialJoin(x *execCtx, s *step, placed []*step, outer []tuple) ([]tuple, error) {
 	sc := &stepCands{s: s}
+	slab := tupleSlab{width: len(p.vars)}
 	var out []tuple
 	for _, t := range outer {
 		bindPrefix(x.env, placed, t)
@@ -449,7 +396,7 @@ func (p *Plan) serialJoin(x *execCtx, s *step, placed []*step, outer []tuple) ([
 			if !ok {
 				break
 			}
-			nt := make(tuple, len(t))
+			nt := slab.next()
 			copy(nt, t)
 			nt[s.slot] = c
 			out = append(out, nt)
@@ -483,59 +430,42 @@ func (p *Plan) buildHash(x *execCtx, s *step) (*hashTable, error) {
 	lsn, release := ss.PinShards()
 	defer release()
 	locals := make([]*hashTable, workers)
-	errs := make([]error, workers)
-	var stop atomic.Bool
-	g := &gather{}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer g.done()
-			env := query.NewEnv(x.r, x.args)
-			t := newHashTable(nparts)
-			locals[w] = t
-			for si := w; si < nsh; si += workers {
+	err := p.fanOut(workers, func(w int, stop *atomic.Bool) error {
+		env := query.NewEnv(x.r, x.args)
+		t := newHashTable(nparts)
+		locals[w] = t
+		for si := w; si < nsh && !stop.Load(); si += workers {
+			var keyErr error
+			err := ss.ScanClassShard(si, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
 				if stop.Load() {
-					return
+					return false
 				}
-				var keyErr error
-				err := ss.ScanClassShard(si, s.from.Class, lsn, func(oid datum.OID, attrs map[string]datum.Value) bool {
-					if stop.Load() {
-						return false
-					}
-					env.Bind(s.from.Var, oid, attrs)
-					v, err := env.Eval(s.buildKey)
-					if err != nil {
-						if errors.Is(err, query.ErrNoValue) {
-							return true // a missing key never equals anything
-						}
-						keyErr = err
-						return false
-					}
-					if v.IsNull() {
-						return true // null never equals anything
-					}
-					t.add(v.Key(), cand{oid: oid, attrs: attrs})
-					return true
-				})
-				if err == nil {
-					err = keyErr
-				}
+				env.Bind(s.from.Var, oid, attrs)
+				v, err := env.Eval(s.buildKey)
 				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
+					if errors.Is(err, query.ErrNoValue) {
+						return true // a missing key never equals anything
+					}
+					keyErr = err
+					return false
 				}
+				if v.IsNull() {
+					return true // null never equals anything
+				}
+				t.add(v.Key(), cand{oid: oid, attrs: attrs})
+				return true
+			})
+			if err == nil {
+				err = keyErr
 			}
-		}(w)
-	}
-	wg.Wait()
-	p.observeGather(workers, g)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			if err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	merged := newHashTable(nparts)
@@ -612,46 +542,34 @@ func (p *Plan) parallelAggregate(x *execCtx, tuples []tuple) ([]*query.AggState,
 	}
 	per := (len(tuples) + workers - 1) / workers
 	partials := make([][]*query.AggState, workers)
-	errs := make([]error, workers)
-	g := &gather{}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer g.done()
-			lo, hi := w*per, (w+1)*per
-			if hi > len(tuples) {
-				hi = len(tuples)
-			}
-			if lo >= hi {
-				return
-			}
-			env := query.NewEnv(x.r, x.args)
-			aggs := make([]*query.AggState, len(q.Select))
-			for i := range aggs {
-				aggs[i] = &query.AggState{}
-			}
-			partials[w] = aggs
-			for _, t := range tuples[lo:hi] {
-				for slot, c := range t {
-					env.Bind(p.vars[slot], c.oid, c.attrs)
-				}
-				for i, s := range q.Select {
-					if err := env.Accumulate(aggs[i], s.Expr); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	p.observeGather(workers, g)
-	for _, err := range errs {
-		if err != nil {
-			return nil, false, err
+	err := p.fanOut(workers, func(w int, stop *atomic.Bool) error {
+		lo, hi := w*per, min((w+1)*per, len(tuples))
+		if lo >= hi {
+			return nil
 		}
+		env := query.NewEnv(x.r, x.args)
+		aggs := make([]*query.AggState, len(q.Select))
+		for i := range aggs {
+			aggs[i] = &query.AggState{}
+		}
+		partials[w] = aggs
+		for _, t := range tuples[lo:hi] {
+			if stop.Load() {
+				return nil
+			}
+			for slot, c := range t {
+				env.Bind(p.vars[slot], c.oid, c.attrs)
+			}
+			for i, s := range q.Select {
+				if err := env.Accumulate(aggs[i], s.Expr); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
 	var merged []*query.AggState
 	for _, part := range partials {

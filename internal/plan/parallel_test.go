@@ -82,8 +82,8 @@ func TestParallelMatchesSerialByteEquality(t *testing.T) {
 // TestParallelCancellationNoGoroutineLeak fails a residual filter mid
 // shard-scan (division by zero on one row) and asserts that the error
 // surfaces, every worker shuts down, and repeated failing executions
-// leave the goroutine count at its baseline — no worker may stay
-// blocked on the exchange channel.
+// leave the goroutine count at its baseline — no worker may outlive
+// the failed execution.
 func TestParallelCancellationNoGoroutineLeak(t *testing.T) {
 	f := parFake(400)
 	// One poisoned row per shard region: x = 0 divides by zero.

@@ -21,7 +21,10 @@
 //     sequence of (oid_1, ..., oid_n) tuples is the lexicographic
 //     order of the distinct tuples it produces. The executor
 //     therefore materializes the join output of *any* operator tree
-//     and restores that order with one canonical sort.
+//     and restores that order canonically: ordered scans, merged
+//     shard runs and order-keeping join stages usually deliver it
+//     already, and one unstable sort (exact, as the tuples are
+//     distinct) covers the rest.
 //   - Access paths never decide membership: the conjunct that chose a
 //     pin, probe, or hash bucket is re-applied as a residual filter,
 //     so index false positives and hash-key collisions (int/float
@@ -75,14 +78,13 @@ type Options struct {
 	// derives it from GOMAXPROCS (capped at maxParallelism), 1 forces
 	// serial execution, N>1 allows up to N workers per parallel step.
 	// Parallel plans return bit-identical results to serial ones: the
-	// canonical OID sort fixes tuple order regardless of production
-	// order, and order-sensitive aggregates re-accumulate serially
+	// canonical OID order is restored regardless of production order, and order-sensitive aggregates re-accumulate serially
 	// (see MergeAggState).
 	Parallelism int
 	// ParallelThreshold is the estimated input cardinality (extent
 	// size for scans and hash builds, outer rows for joins) a step
 	// must reach before it fans out; below it worker setup and the
-	// exchange cost more than they save. 0 means the default
+	// merge of worker outputs cost more than they save. 0 means the default
 	// (defaultParallelThreshold); negative removes the floor so every
 	// eligible step parallelizes — for tests.
 	ParallelThreshold int
@@ -177,7 +179,7 @@ const (
 
 	// maxParallelism caps the derived degree of parallelism: past the
 	// store's shard count and typical core counts, more workers only
-	// add exchange traffic.
+	// add merge work.
 	maxParallelism = 16
 	// defaultParallelThreshold is the estimated input cardinality at
 	// which a step starts fanning out (see Options.ParallelThreshold).

@@ -177,7 +177,16 @@ func checkAll(t *testing.T, src string, r query.Reader, args map[string]datum.Va
 	plans = append(plans, Enumerate(q, cat, args, Options{})...)
 	plans = append(plans, Enumerate(q, cat, args, forcePar(4))...)
 
+	// The readers hand the executor their stored attribute maps, not
+	// copies; no plan may write into one.
+	var before string
+	if f, ok := r.(*fakeReader); ok {
+		before = f.fingerprint()
+	}
 	for i, p := range plans {
+		if werr == nil {
+			assertCanonical(t, p, r, args)
+		}
 		got, gerr := p.Execute(r, args)
 		if werr != nil {
 			if gerr == nil {
@@ -203,7 +212,54 @@ func checkAll(t *testing.T, src string, r query.Reader, args map[string]datum.Va
 			t.Fatalf("Run diverges from tree-walk\nwant: %+v\ngot:  %+v", want, got)
 		}
 	}
+	if f, ok := r.(*fakeReader); ok && f.fingerprint() != before {
+		t.Fatalf("query %s wrote into a reader-owned attribute map", src)
+	}
 	return want
+}
+
+// assertCanonical is the debug assertion behind canonicalJoin's
+// unstable sort and its skip-if-sorted check: the join output it
+// returns must be strictly ascending by OID vector — sorted, and with
+// no two tuples sharing a vector, so stability could never matter.
+func assertCanonical(t *testing.T, p *Plan, r query.Reader, args map[string]datum.Value) {
+	t.Helper()
+	tuples, err := p.canonicalJoin(&execCtx{r: r, env: query.NewEnv(r, args), args: args})
+	if err != nil {
+		t.Fatalf("canonicalJoin: %v\n%s", err, p.Explain())
+	}
+	for i := 1; i < len(tuples); i++ {
+		if compareTuples(tuples[i-1], tuples[i]) >= 0 {
+			t.Fatalf("join output not strictly ascending at %d: %v then %v\n%s",
+				i, oidVector(tuples[i-1]), oidVector(tuples[i]), p.Explain())
+		}
+	}
+}
+
+func oidVector(t tuple) []datum.OID {
+	out := make([]datum.OID, len(t))
+	for i, c := range t {
+		out[i] = c.oid
+	}
+	return out
+}
+
+// fingerprint encodes every row the fake holds.
+func (f *fakeReader) fingerprint() string {
+	var b []byte
+	classes := make([]string, 0, len(f.classes))
+	for c := range f.classes {
+		classes = append(classes, c)
+	}
+	sort.Strings(classes)
+	for _, c := range classes {
+		b = append(b, c...)
+		for _, r := range f.classes[c] {
+			b = append(b, r.oid.String()...)
+			b = datum.EncodeMap(b, r.attrs)
+		}
+	}
+	return string(b)
 }
 
 func stockFake() *fakeReader {

@@ -324,7 +324,9 @@ func (r *Replica) Query(src string, args map[string]datum.Value) (*query.Result,
 	return res, sr.SnapshotLSN(), nil
 }
 
-// Get fetches one object at the newest published snapshot.
+// Get fetches one object at the newest published snapshot. The
+// attribute map is the caller's own copy (the store's records are
+// shared and immutable).
 func (r *Replica) Get(oid datum.OID) (storage.Record, error) {
 	m, txns, err := r.reader()
 	if err != nil {
@@ -338,7 +340,7 @@ func (r *Replica) Get(oid datum.OID) (storage.Record, error) {
 	if !ok {
 		return storage.Record{}, fmt.Errorf("repl: no object %d", oid)
 	}
-	return storage.Record{OID: oid, Class: class, Attrs: attrs}, nil
+	return storage.Record{OID: oid, Class: class, Attrs: datum.CloneMap(attrs)}, nil
 }
 
 // Classes lists the replicated class catalog.

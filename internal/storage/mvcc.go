@@ -59,12 +59,16 @@ type mvVersion struct {
 // by umu (writers additionally hold the shard mutex, so the GC can
 // rely on sh.mu alone to freeze an entry).
 type mvEntry struct {
+	oid  datum.OID
 	head atomic.Pointer[mvVersion]
 	umu  sync.Mutex
 	unc  []version
 	// nUnc mirrors len(unc) so readers skip the umu lock entirely when
 	// no transaction has the object dirty (the common case).
 	nUnc atomic.Int32
+	// classes lists the class extents the entry is a member of
+	// (extent.go). Guarded by the shard mutex; readers never look.
+	classes []string
 }
 
 // visibleAt returns the newest committed version with lsn <= snap,
@@ -83,21 +87,25 @@ func (e *mvEntry) visibleAt(snap uint64) *mvVersion {
 // committed version at snap. The returned bool is false for a
 // tombstone or no visible version; the record is still returned for
 // tombstones so callers can see the class.
+//
+// The record is the stored one, not a copy: Put copies the attribute
+// map on the way in and nothing writes a stored map afterwards, so
+// every reader shares it. Callers must treat Attrs as read-only; the
+// object manager copies once where records leave for application code.
 func (s *Store) resolve(e *mvEntry, tx lock.TxnID, snap uint64) (Record, bool) {
 	if tx != committedOwner && e.nUnc.Load() > 0 {
 		e.umu.Lock()
 		for i := len(e.unc) - 1; i >= 0; i-- {
 			v := e.unc[i]
 			if v.owner == tx || s.topo.IsAncestorOrSelf(v.owner, tx) {
-				rec := v.rec.clone()
 				e.umu.Unlock()
-				return rec, !rec.Deleted
+				return v.rec, !v.rec.Deleted
 			}
 		}
 		e.umu.Unlock()
 	}
 	if v := e.visibleAt(snap); v != nil {
-		return v.rec.clone(), !v.rec.Deleted
+		return v.rec, !v.rec.Deleted
 	}
 	return Record{}, false
 }
@@ -351,7 +359,7 @@ func (s *Store) gcChain(sh *shard, oid datum.OID, w uint64, res *GCResult) bool 
 		dropped = append(dropped, keep)
 		res.Reclaimed++
 		res.Removed++
-		sh.objects.Delete(oid)
+		s.dropEntry(sh, e)
 	}
 	// Index cleanup: delete dropped versions' entries unless a
 	// surviving version still carries the key (the btree stores one
@@ -369,9 +377,7 @@ func (s *Store) gcChain(sh *shard, oid datum.OID, w uint64, res *GCResult) bool 
 			}
 		}
 	}
-	classes := map[string]struct{}{}
 	for _, v := range dropped {
-		classes[v.rec.Class] = struct{}{}
 		if v.rec.Deleted {
 			continue
 		}
@@ -386,9 +392,6 @@ func (s *Store) gcChain(sh *shard, oid datum.OID, w uint64, res *GCResult) bool 
 		}
 	}
 	if dead {
-		for class := range classes {
-			s.extentDel(sh, class, oid)
-		}
 		return true
 	}
 	// A tombstone-headed chain is still waiting (on the watermark or

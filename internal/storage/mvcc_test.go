@@ -162,6 +162,7 @@ func TestVersionGCBoundByPinnedSnapshot(t *testing.T) {
 	if got, _ := s.Get(99, oid); got.Attrs["v"].AsInt() != updates {
 		t.Fatalf("newest version = %v, want v=%d", got, updates)
 	}
+	checkExtentLayout(t, s)
 }
 
 // TestVersionGCIntermediateWatermark: a pin in the middle of the
@@ -192,6 +193,7 @@ func TestVersionGCIntermediateWatermark(t *testing.T) {
 	if got := chainLen(s, oid); got != 1 {
 		t.Fatalf("chain length = %d after pin release + GC, want 1", got)
 	}
+	checkExtentLayout(t, s)
 }
 
 // TestSnapshotScanAtomicFlip: a multi-record commit is all-or-nothing
@@ -355,4 +357,5 @@ func TestTombstoneChainGC(t *testing.T) {
 	if cands := s.IndexCandidates(9, "F", "v", key, key); len(cands) != 0 {
 		t.Fatalf("index entries for dead chain survived GC: %v", cands)
 	}
+	checkExtentLayout(t, s)
 }

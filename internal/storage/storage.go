@@ -16,13 +16,16 @@
 //
 // The heap is hash-partitioned: object entries, per-class extents,
 // and secondary btree indexes are co-located in N shards keyed by
-// OID. Reads of committed data are lock-free: entries live in
-// sync.Maps, version heads are atomic pointers, and readers resolve
-// visibility against a snapshot LSN without ever taking the shard
-// mutex or the lock table. Writers (Put, install, abort, GC) take the
-// shard mutex to keep the index/extent/dirty bookkeeping coherent.
-// Isolation still comes from the lock manager driven by the layers
-// above.
+// OID. Reads of committed data are lock-free and copy-free: point
+// lookups find entries in a sync.Map, scans walk per-class extents
+// that are OID-ordered arrays of entry pointers behind an atomic
+// pointer (extent.go), version heads are atomic pointers, and readers
+// resolve visibility against a snapshot LSN without ever taking the
+// shard mutex or the lock table. Stored records are immutable — Put
+// copies on the way in — so readers receive them without a copy.
+// Writers (Put, install, abort, GC) take the shard mutex to keep the
+// index/extent/dirty bookkeeping coherent. Isolation still comes from
+// the lock manager driven by the layers above.
 package storage
 
 import (
@@ -31,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,18 +57,14 @@ const committedOwner lock.TxnID = 0
 const frameOverheadBytes = 8
 
 // Record is one object state: its identity, class, attribute values,
-// and whether this version is a deletion tombstone.
+// and whether this version is a deletion tombstone. The records a
+// Store returns are its stored ones, shared with every other reader:
+// treat Attrs as read-only.
 type Record struct {
 	OID     datum.OID
 	Class   string
 	Attrs   map[string]datum.Value
 	Deleted bool
-}
-
-// clone returns a deep-enough copy (Values are immutable).
-func (r Record) clone() Record {
-	r.Attrs = datum.CloneMap(r.Attrs)
-	return r
 }
 
 // Topology resolves transaction ancestry for visibility; the
@@ -138,13 +138,13 @@ type Options struct {
 // shard is one hash partition of the heap: the object entries whose
 // OIDs map here, the slices of every class extent and secondary index
 // covering those OIDs, and the partition's delta-checkpoint dirty and
-// GC candidate sets. objects and extents are concurrent maps read
-// lock-free by the MVCC read path; mu guards their membership
-// mutations plus indexes, ckptDirty, and gcCand.
+// GC candidate sets. objects and extents are read lock-free by the
+// MVCC read path; mu guards their mutations plus indexes, ckptDirty,
+// and gcCand.
 type shard struct {
 	mu        sync.RWMutex
 	objects   sync.Map                          // datum.OID -> *mvEntry
-	extents   sync.Map                          // class string -> *sync.Map (datum.OID -> struct{})
+	extents   sync.Map                          // class string -> *extent
 	indexes   map[string]map[string]*btree.Tree // class -> attr -> committed-tier index, this shard
 	ckptDirty map[datum.OID]string              // OIDs committed since the last checkpoint -> class
 	gcCand    map[datum.OID]struct{}            // chains that may hold collectible versions
@@ -210,6 +210,10 @@ type Store struct {
 	gcMu      sync.Mutex
 	gcRunning bool
 	gcTick    atomic.Uint64
+
+	// audit, when armed by AuditImmutable (tests only), fingerprints
+	// every installed version.
+	audit atomic.Pointer[immutabilityAudit]
 
 	// loading marks the single-threaded recovery phase of Open:
 	// installs then replace chain heads outright (no history — there
@@ -464,7 +468,9 @@ func (s *Store) bumpSeq(class string) {
 // replacing any prior version tx wrote. The caller must already hold
 // the appropriate exclusive lock.
 func (s *Store) Put(tx lock.TxnID, rec Record) {
-	rec = rec.clone()
+	// The one copy of the write path: from here on the record is
+	// shared with every reader and never written again.
+	rec.Attrs = datum.CloneMap(rec.Attrs)
 	s.nPuts.Add(1)
 	sh := s.shardOf(rec.OID)
 	sh.mu.Lock()
@@ -487,7 +493,7 @@ func (s *Store) Put(tx lock.TxnID, rec Record) {
 	}
 	e.nUnc.Store(int32(len(e.unc)))
 	e.umu.Unlock()
-	s.extentAdd(sh, rec.Class, rec.OID)
+	s.extentAdd(sh, rec.Class, e)
 	sh.mu.Unlock()
 	// Bump after the write so a stale ModSeq read can only under-claim
 	// freshness (forcing a harmless re-evaluation), never cache stale
@@ -502,7 +508,7 @@ func (s *Store) entryLocked(sh *shard, oid datum.OID) *mvEntry {
 	if v, ok := sh.objects.Load(oid); ok {
 		return v.(*mvEntry)
 	}
-	e := &mvEntry{}
+	e := &mvEntry{oid: oid}
 	sh.objects.Store(oid, e)
 	return e
 }
@@ -538,33 +544,6 @@ func (s *Store) takeDirty(tx lock.TxnID) []datum.OID {
 	d.mu.Unlock()
 	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
 	return oids
-}
-
-// extentAdd records oid as a (possible) member of class's extent.
-// Membership is a superset: resolution filters tombstones and
-// invisible versions. sync.Map writes are safe without sh.mu, but all
-// callers hold it anyway (they are mutating the entry too).
-func (s *Store) extentAdd(sh *shard, class string, oid datum.OID) {
-	var set *sync.Map
-	if v, ok := sh.extents.Load(class); ok {
-		set = v.(*sync.Map)
-	} else {
-		v, _ := sh.extents.LoadOrStore(class, &sync.Map{})
-		set = v.(*sync.Map)
-	}
-	if _, present := set.LoadOrStore(oid, struct{}{}); !present {
-		s.extentCounter(class).Add(1)
-	}
-}
-
-// extentDel removes oid from class's extent membership, keeping the
-// cardinality counter in step. Caller holds sh.mu exclusively.
-func (s *Store) extentDel(sh *shard, class string, oid datum.OID) {
-	if ev, ok := sh.extents.Load(class); ok {
-		if _, present := ev.(*sync.Map).LoadAndDelete(oid); present {
-			s.extentCounter(class).Add(-1)
-		}
-	}
 }
 
 func (s *Store) extentCounter(class string) *atomic.Int64 {
@@ -707,38 +686,24 @@ func (s *Store) ScanClass(tx lock.TxnID, class string, fn func(Record) bool) {
 func (s *Store) ScanClassAt(tx lock.TxnID, class string, snap uint64, fn func(Record) bool) {
 	s.nScans.Add(1)
 	tm := s.obsm.Timer(obs.HSnapshotRead)
-	var recs []Record
+	defer tm.Done()
+	// Each shard's extent is already OID-ordered, so one k-way merge
+	// yields the global order without collecting or sorting anything.
+	runs := make([][]*mvEntry, 0, len(s.shards))
 	for _, sh := range s.shards {
-		recs = s.collectClassShard(sh, tx, class, snap, recs)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].OID < recs[j].OID })
-	tm.Done()
-	for _, rec := range recs {
-		if !fn(rec) {
-			return
+		if x := sh.extentOf(class); x != nil {
+			runs = append(runs, x.entries())
 		}
 	}
-}
-
-// collectClassShard appends one shard's visible records of class at
-// snap to recs — the lock-free resolve walk shared by the whole-extent
-// scan and the per-shard parallel iterator.
-func (s *Store) collectClassShard(sh *shard, tx lock.TxnID, class string, snap uint64, recs []Record) []Record {
-	ev, ok := sh.extents.Load(class)
-	if !ok {
-		return recs
-	}
-	ev.(*sync.Map).Range(func(k, _ any) bool {
-		oid := k.(datum.OID)
-		if v, ok := sh.objects.Load(oid); ok {
-			if rec, ok := s.resolve(v.(*mvEntry), tx, snap); ok && rec.Class == class {
-				recs = append(recs, rec)
-			}
+	datum.MergeByOID(runs, entryOID, func(e *mvEntry) bool {
+		if rec, ok := s.resolve(e, tx, snap); ok && rec.Class == class {
+			return fn(rec)
 		}
 		return true
 	})
-	return recs
 }
+
+func entryOID(e *mvEntry) datum.OID { return e.oid }
 
 // ScanClassShardAt visits shard si's slice of class's extent, in
 // ascending OID order within the shard, at snapshot snap. It is the
@@ -752,10 +717,12 @@ func (s *Store) ScanClassShardAt(tx lock.TxnID, si int, class string, snap uint6
 	if si < 0 || si >= len(s.shards) {
 		return
 	}
-	recs := s.collectClassShard(s.shards[si], tx, class, snap, nil)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].OID < recs[j].OID })
-	for _, rec := range recs {
-		if !fn(rec) {
+	x := s.shards[si].extentOf(class)
+	if x == nil {
+		return
+	}
+	for _, e := range x.entries() {
+		if rec, ok := s.resolve(e, tx, snap); ok && rec.Class == class && !fn(rec) {
 			return
 		}
 	}
@@ -782,31 +749,22 @@ func (s *Store) RegisterIndex(class, attr string) {
 		}
 		t := btree.New()
 		byAttr[attr] = t
-		ev, ok := sh.extents.Load(class)
-		if !ok {
-			sh.mu.Unlock()
-			continue
+		if x := sh.extentOf(class); x != nil {
+			for _, e := range x.entries() {
+				// Index every committed version, not just the head: a
+				// snapshot pinned below the head must still find its rows
+				// (the btree dedups (key, oid) pairs; stale entries are
+				// false positives callers re-verify, removed by the GC).
+				for v := e.head.Load(); v != nil; v = v.prev.Load() {
+					if v.rec.Deleted || v.rec.Class != class {
+						continue
+					}
+					if val, ok := v.rec.Attrs[attr]; ok {
+						t.Insert(val.Key(), e.oid)
+					}
+				}
+			}
 		}
-		ev.(*sync.Map).Range(func(k, _ any) bool {
-			oid := k.(datum.OID)
-			cv, ok := sh.objects.Load(oid)
-			if !ok {
-				return true
-			}
-			// Index every committed version, not just the head: a
-			// snapshot pinned below the head must still find its rows
-			// (the btree dedups (key, oid) pairs; stale entries are
-			// false positives callers re-verify, removed by the GC).
-			for v := cv.(*mvEntry).head.Load(); v != nil; v = v.prev.Load() {
-				if v.rec.Deleted || v.rec.Class != class {
-					continue
-				}
-				if val, ok := v.rec.Attrs[attr]; ok {
-					t.Insert(val.Key(), oid)
-				}
-			}
-			return true
-		})
 		sh.mu.Unlock()
 	}
 }
@@ -833,16 +791,12 @@ func (s *Store) IndexCandidates(tx lock.TxnID, class, attr string, lo, hi btree.
 	if !s.HasIndex(class, attr) {
 		return nil
 	}
-	seen := map[datum.OID]struct{}{}
 	var out []datum.OID
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		if t := sh.indexes[class][attr]; t != nil {
 			t.Scan(lo, hi, func(_ string, oid datum.OID) bool {
-				if _, dup := seen[oid]; !dup {
-					seen[oid] = struct{}{}
-					out = append(out, oid)
-				}
+				out = append(out, oid)
 				return true
 			})
 		}
@@ -864,9 +818,6 @@ func (s *Store) IndexCandidates(tx lock.TxnID, class, attr string, lo, hi btree.
 		}
 		d.mu.Unlock()
 		for _, oid := range oids {
-			if _, dup := seen[oid]; dup {
-				continue
-			}
 			cv, ok := s.shardOf(oid).objects.Load(oid)
 			if !ok {
 				continue
@@ -884,14 +835,15 @@ func (s *Store) IndexCandidates(tx lock.TxnID, class, attr string, lo, hi btree.
 				}
 			}
 			if cls == class {
-				seen[oid] = struct{}{}
 				out = append(out, oid)
 			}
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	// One OID can surface more than once: from several of its
+	// versions' index entries, and from a dirty set as well.
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ModSeq returns a counter that increases whenever the class is
@@ -1007,8 +959,8 @@ func (s *Store) CommitNested(child, parent lock.TxnID) error {
 //
 // The write-ahead invariant holds: no version installs before its log
 // record is durable. Reading the prepared records outside the shard
-// locks is safe because records are immutable once Put (Put clones
-// its input, readers clone on the way out), tx's own versions cannot
+// locks is safe because records are immutable once Put (Put copies
+// its input and nothing writes a stored record), tx's own versions cannot
 // change while its single commit goroutine is here, and tx still
 // holds its exclusive locks, so no other committer touches the same
 // objects.
@@ -1186,15 +1138,17 @@ func (s *Store) maybeKickCheckpoint() {
 func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Record, clsn uint64) {
 	if s.loading {
 		if rec.Deleted {
-			sh.objects.Delete(rec.OID)
-			s.extentDel(sh, rec.Class, rec.OID)
+			if v, ok := sh.objects.Load(rec.OID); ok {
+				s.dropEntry(sh, v.(*mvEntry))
+			}
 			return
 		}
 		e := s.entryLocked(sh, rec.OID)
 		nv := &mvVersion{lsn: clsn, rec: rec}
 		nv.depth.Store(1)
 		e.head.Store(nv)
-		s.extentAdd(sh, rec.Class, rec.OID)
+		s.noteInstall(nv)
+		s.extentAdd(sh, rec.Class, e)
 		return
 	}
 	e := s.entryLocked(sh, rec.OID)
@@ -1224,10 +1178,11 @@ func (s *Store) installCommitted(sh *shard, owner lock.TxnID, rec Record, clsn u
 	// (Visibility to *snapshots* additionally waits for the commit
 	// LSN to publish — see CommitTop.)
 	e.head.Store(nv)
+	s.noteInstall(nv)
 	s.obsm.ObserveN(obs.HVersionChain, uint64(depth))
 	if !rec.Deleted {
 		indexInsert(sh, rec)
-		s.extentAdd(sh, rec.Class, rec.OID)
+		s.extentAdd(sh, rec.Class, e)
 	}
 	if old != nil || rec.Deleted {
 		// Inline trim: with no snapshot registered anywhere, versions
@@ -1281,10 +1236,7 @@ func (s *Store) AbortTxn(tx lock.TxnID) {
 		e.umu.Unlock()
 		if empty {
 			// Never committed and no other writer: drop the entry.
-			sh.objects.Delete(oid)
-			if class != "" {
-				s.extentDel(sh, class, oid)
-			}
+			s.dropEntry(sh, e)
 		}
 		sh.mu.Unlock()
 		if class != "" {

@@ -398,6 +398,7 @@ func TestRecoveryOfDelete(t *testing.T) {
 	if _, ok := s2.Get(9, oid); ok {
 		t.Fatal("deleted object resurrected by recovery")
 	}
+	checkExtentLayout(t, s2)
 }
 
 func TestCheckpointAndRecovery(t *testing.T) {
@@ -432,6 +433,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	if got, ok := s2.Get(1, oid); !ok || got.Attrs["i"].AsInt() != 99 {
 		t.Fatal("post-checkpoint commit lost")
 	}
+	checkExtentLayout(t, s2)
 }
 
 func TestStatsCounters(t *testing.T) {

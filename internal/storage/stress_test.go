@@ -43,6 +43,9 @@ func TestShardedStoreStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every committed version is shared by the readers below; the audit
+	// proves none of them wrote into one.
+	verifyA, verifyB := a.AuditImmutable(), b.AuditImmutable()
 
 	// Writer w owns OIDs [w*oidsPerW, (w+1)*oidsPerW); OID o belongs to
 	// class fmt.Sprintf("C%d", o%classes). Values encode (writer, seq)
@@ -197,6 +200,11 @@ func TestShardedStoreStress(t *testing.T) {
 	// extents partition the class extents exactly.
 	checkShardInvariants(t, a)
 	checkShardInvariants(t, b)
+	for _, v := range []func() error{verifyA, verifyB} {
+		if err := v(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	verify := func(name string, s *Store) {
 		t.Helper()
@@ -245,10 +253,10 @@ func TestShardedStoreStress(t *testing.T) {
 }
 
 // checkShardInvariants asserts the partitioning is well-formed: every
-// object entry and extent member is in the shard its OID hashes to,
-// no OID appears in two shards, and every version chain is strictly
-// LSN-descending with head depth at least the chain length. White-box
-// by design.
+// object entry is in the shard its OID hashes to, no OID appears in
+// two shards, every version chain is strictly LSN-descending with head
+// depth at least the chain length, and the extents satisfy
+// checkExtentLayout. White-box by design.
 func checkShardInvariants(t *testing.T, s *Store) {
 	t.Helper()
 	seen := map[datum.OID]bool{}
@@ -281,17 +289,7 @@ func checkShardInvariants(t *testing.T, s *Store) {
 			}
 			return true
 		})
-		sh.extents.Range(func(ck, ev any) bool {
-			cls := ck.(string)
-			ev.(*sync.Map).Range(func(ok2, _ any) bool {
-				oid := ok2.(datum.OID)
-				if s.shardOf(oid) != sh {
-					t.Errorf("shard %d extent %q: oid %v hashes elsewhere", i, cls, oid)
-				}
-				return true
-			})
-			return true
-		})
 		sh.mu.RUnlock()
 	}
+	checkExtentLayout(t, s)
 }
